@@ -35,6 +35,7 @@ from repro.benchmarks import (  # noqa: E402  (path setup must precede import)
     validate_bench,
     write_bench,
 )
+from repro.engine import ENGINES  # noqa: E402
 from repro.io import load_json  # noqa: E402
 
 
@@ -46,13 +47,10 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=None,
                         help="override repeat count (default: 3, quick: 2)")
     parser.add_argument("--engines", nargs="+", default=["object"],
-                        choices=["object", "soa", "sharded"], metavar="ENGINE",
+                        choices=ENGINES, metavar="ENGINE",
                         help="replay engines to time, each scenario once "
                              "per engine (default: object only; the "
-                             "committed baseline records all three)")
-    parser.add_argument("--shards", type=int, default=4, metavar="N",
-                        help="shard count for the sharded engine "
-                             "(default 4; recorded per scenario)")
+                             "committed baseline records both)")
     parser.add_argument("--scale", action="store_true",
                         help="time the million-access SCALE_SCENARIOS "
                              "instead of the default pinned set")
@@ -78,7 +76,6 @@ def main(argv=None) -> int:
             scenarios=SCALE_SCENARIOS if args.scale else None,
             experiments=args.experiments,
             engines=args.engines,
-            shards=args.shards,
         )
         validate_bench(document)
     except BenchmarkError as error:
@@ -86,13 +83,10 @@ def main(argv=None) -> int:
         return 2
 
     for record in document["scenarios"]:
-        engine = record.get("engine", "object")
-        if "shards" in record:
-            engine += f"({record['shards']} shards)"
         print(
             f"{record['workload']}/{record['config']} "
             f"len={record['trace_length']} seed={record['seed']} "
-            f"engine={engine}: "
+            f"engine={record.get('engine', 'object')}: "
             f"{record['requests_per_s']:.0f} req/s "
             f"(best {record['best_wall_s']:.3f}s over {record['repeats']} runs) "
             f"digest={record['result_sha256'][:12]}"

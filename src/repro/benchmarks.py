@@ -95,9 +95,9 @@ QUICK_SCENARIOS: Sequence[BenchScenario] = (
     BenchScenario("stencil", "baseline", 8000, 0),
 )
 
-#: Million-access scale scenarios (ROADMAP item 4): long enough that the
-#: sharded engine's process-pool overhead amortizes and per-shard replay
-#: dominates.  Timed with fewer repeats (see :func:`run_bench`).
+#: Million-access scale scenarios: pin result digests at a trace length far
+#: beyond the experiment battery's.  Timed with fewer repeats (see
+#: :func:`run_bench`).
 SCALE_SCENARIOS: Sequence[BenchScenario] = (
     BenchScenario("bfs", "C1", 1200000, 0),
 )
@@ -124,7 +124,6 @@ def run_scenario(
     scenario: BenchScenario,
     repeats: int = 3,
     engine: str = "object",
-    shards: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Time one pinned scenario on one engine; returns its JSON-safe record.
 
@@ -133,21 +132,14 @@ def run_scenario(
     state, so reuse would measure a warm, different simulation.  The best
     wall time is reported (least scheduler noise); all repeats must produce
     the same result digest or :class:`BenchmarkError` is raised.
-    ``engine`` selects the replay backend (``"object"``, ``"soa"`` or
-    ``"sharded"``, see docs/engine.md); all must produce identical digests
-    on the pinned scenarios at ``shards=1``, which is exactly what
-    comparing their records proves.  ``shards`` applies only to the
-    sharded engine (default 4) and is recorded in the scenario record —
-    records at different shard counts are distinct scenarios.
+    ``engine`` selects the replay backend (``"object"`` or ``"soa"``, see
+    docs/engine.md); both must produce identical digests on the pinned
+    scenarios, which is exactly what comparing their records proves.
     """
     from repro.engine import make_simulator
 
     if repeats < 1:
         raise BenchmarkError(f"repeats must be >= 1, got {repeats}")
-    if shards is not None and engine != "sharded":
-        raise BenchmarkError(
-            f"shards applies only to the sharded engine, not {engine!r}"
-        )
     configs = all_configs()
     if scenario.config not in configs:
         raise BenchmarkError(f"unknown config {scenario.config!r}")
@@ -158,13 +150,10 @@ def run_scenario(
         num_sms=config.num_sms,
         seed=scenario.seed,
     )
-    sim_kwargs: Dict[str, Any] = {}
-    if engine == "sharded":
-        sim_kwargs["shards"] = 4 if shards is None else shards
     walls: List[float] = []
     digests: List[str] = []
     for _ in range(repeats):
-        simulator = make_simulator(config, workload, engine=engine, **sim_kwargs)
+        simulator = make_simulator(config, workload, engine=engine)
         start = time.perf_counter()
         result = simulator.run()
         walls.append(time.perf_counter() - start)
@@ -174,7 +163,7 @@ def run_scenario(
             f"{scenario.key}: repeats disagree on results ({sorted(set(digests))})"
         )
     best = min(walls)
-    record = {
+    return {
         "workload": scenario.workload,
         "config": scenario.config,
         "trace_length": scenario.trace_length,
@@ -186,9 +175,6 @@ def run_scenario(
         "requests_per_s": scenario.trace_length / best,
         "result_sha256": digests[0],
     }
-    if engine == "sharded":
-        record["shards"] = sim_kwargs["shards"]
-    return record
 
 
 def time_experiments(
@@ -218,7 +204,6 @@ def run_bench(
     scenarios: Optional[Sequence[BenchScenario]] = None,
     experiments: Optional[Iterable[str]] = None,
     engines: Sequence[str] = ("object",),
-    shards: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Run the full (or quick) pinned benchmark; returns the bench document.
 
@@ -226,9 +211,7 @@ def run_bench(
     once per engine, in engine order.  The default times only the
     reference ``object`` engine, matching pre-engine bench documents;
     pass ``("object", "soa")`` to record the committed per-engine
-    comparison (see docs/performance.md), and add ``"sharded"`` (with
-    ``shards``, default 4) to time the process-pool engine
-    (docs/sharding.md).
+    comparison (see docs/performance.md).
     """
     if scenarios is None:
         scenarios = QUICK_SCENARIOS if quick else PINNED_SCENARIOS
@@ -240,10 +223,7 @@ def run_bench(
         "quick": quick,
         "host": host_metadata(),
         "scenarios": [
-            run_scenario(
-                s, repeats=repeats, engine=engine,
-                shards=shards if engine == "sharded" else None,
-            )
+            run_scenario(s, repeats=repeats, engine=engine)
             for engine in engines
             for s in scenarios
         ],
@@ -299,15 +279,6 @@ def validate_bench(document: Mapping[str, Any]) -> None:
             raise BenchmarkError(
                 f"scenario field 'engine' has wrong type: {record['engine']!r}"
             )
-        # optional: present only on sharded-engine records
-        if "shards" in record and (
-            not isinstance(record["shards"], int)
-            or isinstance(record["shards"], bool)
-            or record["shards"] < 1
-        ):
-            raise BenchmarkError(
-                f"scenario field 'shards' has wrong type: {record['shards']!r}"
-            )
 
 
 def _scenario_key(record: Mapping[str, Any]) -> str:
@@ -320,9 +291,6 @@ def _scenario_key(record: Mapping[str, Any]) -> str:
     engine = record.get("engine", "object")
     if engine != "object":
         key += f"/{engine}"
-        # sharded records at different shard counts are distinct scenarios
-        if "shards" in record:
-            key += str(record["shards"])
     return key
 
 

@@ -1,4 +1,4 @@
-"""Address-interleaved cache banking: shard router + conflict accounting.
+"""Address-interleaved cache banking: bank hash + conflict accounting.
 
 The GPU L2 is "a banked cache array shared by all SMs"; each bank serves one
 request at a time.  In a trace-driven model we cannot replay true request
@@ -8,12 +8,8 @@ is reported as conflict latency.  This captures the first-order effect the
 paper relies on (slow STT-RAM writes occupy banks longer, and the LR part
 absorbs them).
 
-Since the sharded engine (``repro.shard``, docs/sharding.md) the same bank
-hash also *routes*: :meth:`BankedCache.assign` vectorizes the
-line-interleaved hash over a whole address column so a trace can be
-partitioned into per-bank sub-streams, and the scheduler keeps per-bank
-:class:`BankStats` (surfaced as ``SimulationResult.bank_stats``) alongside
-the aggregate.
+The scheduler keeps per-bank :class:`BankStats` (surfaced as
+``SimulationResult.bank_stats``) alongside the aggregate.
 """
 
 from __future__ import annotations
@@ -81,14 +77,12 @@ def summarize_banks(banks: Iterable[BankStats]) -> Dict[str, Any]:
 
 
 class BankedCache:
-    """Bank scheduler and shard router: maps lines to banks, accounts contention.
+    """Bank scheduler: maps lines to banks, accounts contention.
 
     This class does not store cache lines itself; it wraps whichever
     behavioural array the owner routes requests to, adding only the bank
     timing dimension.  Keeping the concerns separate lets the same scheduler
-    front the SRAM baseline, the naive STT baseline and the two-part cache —
-    and lets the sharded engine reuse the hash as a trace partitioner
-    (:meth:`assign`) without duplicating the geometry rules.
+    front the SRAM baseline, the naive STT baseline and the two-part cache.
     """
 
     def __init__(self, num_banks: int, line_size: int) -> None:
@@ -111,18 +105,6 @@ class BankedCache:
         if address < 0:
             raise GeometryError(f"address must be non-negative, got {address}")
         return (address >> self._line_shift) & self._bank_mask
-
-    def assign(self, addresses):
-        """Vectorized bank hash over a whole address column.
-
-        ``addresses`` is a numpy integer array; returns an array of bank
-        ids computed with the same shift-and-mask as :meth:`bank_for`.
-        This is the sharded engine's partition primitive: shard ``s`` owns
-        every access whose bank id (under ``num_banks = shards``) is ``s``.
-        """
-        if len(addresses) and int(addresses.min()) < 0:
-            raise GeometryError("addresses must be non-negative")
-        return (addresses >> self._line_shift) & self._bank_mask
 
     def schedule(self, address: int, now: float, service_time: float) -> float:
         """Admit a request; returns the queueing wait (s) it experienced.

@@ -129,27 +129,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         tracer = TraceCollector(sample_every=args.trace_sample)
     else:
         tracer = None
-    if args.engine != "sharded" and (
-        args.shards is not None or args.workers is not None
-    ):
-        print(
-            "repro-sttgpu simulate: --shards/--workers apply only to "
-            "--engine sharded (see docs/sharding.md)",
-            file=sys.stderr,
-        )
-        return 2
-    sim_kwargs = {}
-    if args.engine == "sharded":
-        sim_kwargs["shards"] = 4 if args.shards is None else args.shards
-        if args.workers is not None:
-            sim_kwargs["workers"] = args.workers
     try:
         # with --trace the registry falls back to (or, for an explicit
         # --engine soa, refuses with) the object engine: tracing is an
         # object-engine feature
         simulator = make_simulator(
-            configs[args.config], workload, engine=args.engine, tracer=tracer,
-            **sim_kwargs,
+            configs[args.config], workload, engine=args.engine, tracer=tracer
         )
     except ConfigurationError as exc:
         print(f"repro-sttgpu simulate: {exc}", file=sys.stderr)
@@ -168,7 +153,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if result.lr_write_share is not None:
         print(f"LR write share : {result.lr_write_share:.3f}")
         print(f"migrations->LR : {result.migrations_to_lr}")
-    if args.engine == "sharded" and result.bank_stats:
+    if result.bank_stats:
         from repro.cache.banked import summarize_banks
 
         banks = summarize_banks(result.bank_stats)
@@ -176,8 +161,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         wait = banks["mean_wait_s"]
         print(
             f"L2 banks       : {banks['active_banks']}/{banks['banks']} "
-            f"active ({simulator.shards} shards, {simulator.workers} workers), "
-            f"conflict rate "
+            f"active, conflict rate "
             f"{'n/a' if rate is None else format(rate, '.3f')}, "
             f"mean wait "
             f"{'n/a' if wait is None else format(wait * 1e9, '.1f') + ' ns'}"
@@ -424,10 +408,10 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.predict and (args.engine is not None or args.shards is not None):
+    if args.predict and args.engine is not None:
         print(
             "repro-sttgpu submit: --predict is engine-independent; "
-            "drop --engine/--shards",
+            "drop --engine",
             file=sys.stderr,
         )
         return 2
@@ -478,7 +462,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                     trace_length=args.trace_length,
                     seed=args.seed,
                     engine=args.engine,
-                    shards=args.shards,
                 )
                 payload = response["payload"]
                 print(f"benchmark      : {payload['workload']}")
@@ -606,13 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--engine", choices=ENGINES, default=None,
                        help="replay engine (default: soa where supported, "
                             "object otherwise; see docs/engine.md)")
-    p_sim.add_argument("--shards", type=int, default=None, metavar="N",
-                       help="bank shards for --engine sharded (power of "
-                            "two, <= L2 banks, default 4; see "
-                            "docs/sharding.md)")
-    p_sim.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="worker processes for --engine sharded "
-                            "(default: min(shards, cpu count))")
     p_sim.add_argument("--trace", action="store_true",
                        help="collect an execution trace (Chrome/Perfetto JSON)")
     p_sim.add_argument("--trace-sample", type=int, default=1, metavar="N",
@@ -744,8 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sub.add_argument("--seed", type=int, default=0)
     p_sub.add_argument("--engine", choices=ENGINES, default=None,
                        help="replay engine (default: soa where supported)")
-    p_sub.add_argument("--shards", type=int, default=None, metavar="N",
-                       help="bank shards for --engine sharded")
     p_sub.add_argument("--timeout", type=float, default=600.0,
                        metavar="SECONDS",
                        help="socket timeout per operation (default 600)")

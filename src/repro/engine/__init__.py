@@ -1,6 +1,6 @@
-"""Replay engine registry: the ``object``, ``soa`` and ``sharded`` backends.
+"""Replay engine registry: the ``object`` and ``soa`` backends.
 
-The repository ships three interchangeable simulation engines (selected
+The repository ships two interchangeable simulation engines (selected
 with ``--engine`` on the CLI, see docs/engine.md):
 
 ``object``
@@ -16,16 +16,6 @@ with ``--engine`` on the CLI, see docs/engine.md):
     Byte-identical results to ``object`` on every supported
     configuration, roughly an order of magnitude faster.  Unsupported
     features fall back (see :func:`resolve_engine`).
-
-``sharded``
-    The multi-process model (:mod:`repro.shard`, docs/sharding.md): the
-    bank hash partitions the trace into per-shard sub-streams, each
-    replayed by an independent per-shard simulator (SoA when supported)
-    on a process pool, with a deterministic shard-order merge.
-    ``--shards 1`` is byte-identical to ``soa``; it is **opt-in only** —
-    ``engine=None`` never auto-selects it, because its ``--shards N``
-    mode is a documented modeling approximation and its process-pool
-    overhead only pays off on multi-core hosts at ~1M+ accesses.
 
 :func:`make_simulator` is the one entry point callers need: it resolves
 the requested engine against the feature set actually in use and returns
@@ -44,7 +34,7 @@ from repro.workloads.trace import Workload
 DEFAULT_ENGINE = "soa"
 
 #: Every selectable engine name, reference model first.
-ENGINES = ("object", "soa", "sharded")
+ENGINES = ("object", "soa")
 
 
 def _soa_blockers(
@@ -93,16 +83,12 @@ def resolve_engine(
     blockers = _soa_blockers(
         config, l2, deferred_l1_fills, tracer, invariant_checker
     )
-    # sharded workers resolve engines themselves, but the sharded front
-    # end shares the soa blocker list: every blocked feature needs a
-    # single in-process L2 object, which a process-pool run cannot offer
-    if engine in ("soa", "sharded") and blockers:
+    if engine == "soa" and blockers:
         raise ConfigurationError(
-            f"the {engine} engine does not support: " + ", ".join(blockers)
+            "the soa engine does not support: " + ", ".join(blockers)
             + "; use engine='object'"
         )
     if engine is None:
-        # never auto-select sharded: opt-in only (see the module docstring)
         return "object" if blockers else DEFAULT_ENGINE
     return engine
 
@@ -138,8 +124,7 @@ def make_simulator(
     :class:`repro.gpu.simulator.GPUSimulator`; the ones the ``soa`` engine
     cannot honour (a pre-built ``l2``, ``deferred_l1_fills=False``, an
     enabled ``tracer``, an ``invariant_checker``) force or validate the
-    engine choice via :func:`resolve_engine`.  ``shards``/``workers`` are
-    accepted only with ``engine="sharded"``.
+    engine choice via :func:`resolve_engine`.
     """
     resolved = resolve_engine(
         config,
@@ -149,22 +134,6 @@ def make_simulator(
         tracer=kwargs.get("tracer"),
         invariant_checker=kwargs.get("invariant_checker"),
     )
-    if resolved != "sharded" and (
-        "shards" in kwargs or "workers" in kwargs
-    ):
-        raise ConfigurationError(
-            "shards/workers are sharded-engine options; pass "
-            "engine='sharded' to use them"
-        )
-    if resolved == "sharded":
-        from repro.shard import ShardedGPUSimulator
-
-        shard_kwargs = {
-            key: value for key, value in kwargs.items()
-            if key in ("track_intervals", "time_dilation", "start_time_s",
-                       "shards", "workers")
-        }
-        return ShardedGPUSimulator(config, workload, **shard_kwargs)
     if resolved == "soa":
         from repro.engine.soa_sim import SoaGPUSimulator
 

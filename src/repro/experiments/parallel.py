@@ -189,8 +189,8 @@ def fan_out(worker, items: Sequence[Any], jobs: int) -> List[Any]:
     and each item must be picklable (a module-level function and
     plain-data arguments).
 
-    This is the same fan-out the experiment battery uses; the sharded
-    engine (:mod:`repro.shard`) reuses it for bank sub-jobs.
+    This is the fan-out the experiment battery uses: parallelism stays at
+    job granularity, so every job's result is exact.
     """
     if jobs < 1:
         raise ReproError(f"jobs must be >= 1, got {jobs}")

@@ -281,19 +281,6 @@ class GPUSimulator:
         n_mem_insts = len(self.workload.trace)
         total_warp_insts = n_mem_insts * kernel.compute_intensity
 
-        #: raw replay sums, pre-roll-up — the sharded engine's merge
-        #: (repro.shard.merge) re-runs this method's algebra over summed
-        #: per-bank inputs, so workers export them instead of the derived
-        #: SimulationResult fields
-        self.rollup_inputs = {
-            "reads": reads,
-            "stall_sum_s": stall_sum_s,
-            "read_latency_sum_s": read_latency_sum_s,
-            "l2_requests": l2_requests,
-            "l2_service_sum_s": l2_service_sum_s,
-            "dram_writebacks": dram_writebacks,
-        }
-
         avg_read_latency_cycles = (
             read_latency_sum_s / max(1, reads) / cycle_s if reads else L1_HIT_CYCLES
         )
@@ -411,10 +398,9 @@ def simulate(
 ) -> SimulationResult:
     """Convenience wrapper: build the simulator and run it.
 
-    ``engine`` selects the replay backend (``"object"``, ``"soa"`` or
-    ``"sharded"``, see docs/engine.md and docs/sharding.md); ``None`` uses
-    the registry default, which is the SoA engine whenever the run's
-    feature set supports it (``sharded`` is opt-in only).
+    ``engine`` selects the replay backend (``"object"`` or ``"soa"``, see
+    docs/engine.md); ``None`` uses the registry default, which is the SoA
+    engine whenever the run's feature set supports it.
     """
     from repro.engine import make_simulator
 

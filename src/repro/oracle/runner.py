@@ -316,29 +316,20 @@ def make_pair(
     ``mutant`` selects a deliberately broken DUT variant from
     :data:`repro.oracle.mutants.MUTANTS` (oracle self-tests); ``None``
     builds the production DUT.  ``engine`` picks which production model is
-    the DUT: the ``object`` :class:`TwoPartSTTL2`, the ``soa``
-    structure-of-arrays subclass (see docs/engine.md), or ``sharded`` — a
-    single-shard :class:`~repro.shard.router.ShardedL2Router` over the SoA
-    L2, driving the sharded engine's routing/remap path through the same
-    lockstep diff (docs/sharding.md).  Mutants are object-engine
-    subclasses, so ``mutant`` requires ``engine="object"``.
+    the DUT: the ``object`` :class:`TwoPartSTTL2` or the ``soa``
+    structure-of-arrays subclass (see docs/engine.md).  Mutants are
+    object-engine subclasses, so ``mutant`` requires ``engine="object"``.
     """
-    if engine not in ("object", "soa", "sharded"):
+    if engine not in ("object", "soa"):
         raise OracleError(
-            f"unknown engine {engine!r}; expected object, soa or sharded"
+            f"unknown engine {engine!r}; expected object or soa"
         )
     kwargs = l2_kwargs_from_config(config.l2)
     if mutant is None:
-        if engine in ("soa", "sharded"):
+        if engine == "soa":
             from repro.engine.soa_l2 import SoaTwoPartL2
 
             dut: TwoPartSTTL2 = SoaTwoPartL2(tracer=tracer, **kwargs)
-            if engine == "sharded":
-                from repro.shard import ShardedL2Router
-
-                dut = ShardedL2Router(
-                    [dut], line_size=config.l2.line_size
-                )
         else:
             dut = TwoPartSTTL2(tracer=tracer, **kwargs)
     elif engine != "object":

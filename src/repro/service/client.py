@@ -88,7 +88,6 @@ class ServiceClient:
         trace_length: Optional[int] = None,
         seed: int = 0,
         engine: Optional[str] = None,
-        shards: Optional[int] = None,
     ) -> Dict[str, Any]:
         """Submit one simulation; returns the full ok-response.
 
@@ -107,8 +106,6 @@ class ServiceClient:
             request["trace_length"] = trace_length
         if engine is not None:
             request["engine"] = engine
-        if shards is not None:
-            request["shards"] = shards
         return self._checked(request)
 
     def predict(

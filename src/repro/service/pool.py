@@ -61,12 +61,7 @@ def compute_simulate(request: Mapping[str, Any]) -> Dict[str, Any]:
         num_sms=config.num_sms,
         seed=request["seed"],
     )
-    kwargs: Dict[str, Any] = {}
-    if request["engine"] == "sharded":
-        kwargs["shards"] = request["shards"]
-    simulator = make_simulator(
-        config, workload, engine=request["engine"], **kwargs
-    )
+    simulator = make_simulator(config, workload, engine=request["engine"])
     return simulation_result_to_dict(simulator.run())
 
 

@@ -12,7 +12,7 @@ Request kinds (``"kind"`` selects the handler)::
     {"kind": "stats"}
     {"kind": "shutdown"}
     {"kind": "simulate", "benchmark": "bfs", "config": "C1",
-     "trace_length": 30000, "seed": 0, "engine": "soa", "shards": 4}
+     "trace_length": 30000, "seed": 0, "engine": "soa"}
     {"kind": "experiment", "experiment": "fig3",
      "trace_length": 15000, "seed": 0, "benchmarks": ["nn", "bfs"]}
     {"kind": "predict", "benchmark": "bfs", "config": "C1",
@@ -124,6 +124,13 @@ def _validate_simulate(request: Mapping[str, Any]) -> Dict[str, Any]:
         raise ServiceError(
             f"unknown config {config!r}; choose from {sorted(configs)}"
         )
+    if "shards" in request:
+        # rejected, not ignored: an old client must not mistake an exact
+        # run for the sharded one it asked for
+        raise ServiceError(
+            "field 'shards' was removed with the sharded engine; "
+            "drop it (every engine is exact)"
+        )
     engine = request.get("engine")
     if engine is not None and engine not in ENGINES:
         raise ServiceError(
@@ -145,13 +152,6 @@ def _validate_simulate(request: Mapping[str, Any]) -> Dict[str, Any]:
         "seed": _require_int(request, "seed", 0, 0, 2**31 - 1),
         "engine": engine,
     }
-    shards = request.get("shards")
-    if engine == "sharded":
-        normalized["shards"] = _require_int(request, "shards", 4, 1, 64)
-    elif shards is not None:
-        raise ServiceError(
-            f"shards applies only to the sharded engine, not {engine!r}"
-        )
     return normalized
 
 

@@ -3,9 +3,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cache.banked import BankedCache
+from repro.benchmarks import QUICK_SCENARIOS
+from repro.cache.banked import BankStats, BankedCache, summarize_banks
 from repro.cache.mshr import MSHRFile
+from repro.config import all_configs
+from repro.engine import make_simulator
 from repro.errors import ConfigurationError, SimulationError
+from repro.io import simulation_result_to_dict
+from repro.workloads import build_workload
 
 
 class TestMSHR:
@@ -126,3 +131,62 @@ class TestBankedCache:
             busy = banks.busy_until(addr)
             assert busy >= last.get(bank, 0.0)
             last[bank] = busy
+
+
+class TestBankStatsIdleBanks:
+    def test_idle_bank_rates_are_none(self):
+        stats = BankStats()
+        assert stats.idle
+        assert stats.conflict_rate is None
+        assert stats.mean_wait is None
+
+    def test_active_bank_rates_are_floats(self):
+        stats = BankStats(requests=8, conflicts=2, total_wait=4e-9)
+        assert not stats.idle
+        assert stats.conflict_rate == pytest.approx(0.25)
+        assert stats.mean_wait == pytest.approx(5e-10)
+
+    def test_summarize_excludes_idle_banks_from_averages(self):
+        banks = [
+            BankStats(requests=10, conflicts=5, total_wait=10e-9),
+            BankStats(),  # idle: must not dilute the averages
+            BankStats(requests=10, conflicts=5, total_wait=10e-9),
+            BankStats(),
+        ]
+        summary = summarize_banks(banks)
+        assert summary["banks"] == 4
+        assert summary["active_banks"] == 2
+        assert summary["idle_banks"] == 2
+        assert summary["requests"] == 20
+        assert summary["conflict_rate"] == pytest.approx(0.5)
+        assert summary["mean_wait_s"] == pytest.approx(1e-9)
+
+    def test_summarize_all_idle(self):
+        summary = summarize_banks([BankStats(), BankStats()])
+        assert summary["active_banks"] == 0
+        assert summary["conflict_rate"] is None
+        assert summary["mean_wait_s"] is None
+
+    def test_banked_cache_tracks_per_bank_counters(self):
+        cache = BankedCache(4, 128)
+        for i in range(8):
+            cache.schedule(i * 128, now=0.0, service_time=1e-9)
+        per = cache.per_bank
+        assert len(per) == 4
+        assert sum(b.requests for b in per) == cache.stats.requests == 8
+        assert sum(b.conflicts for b in per) == cache.stats.conflicts
+
+
+def test_bank_stats_never_reach_the_canonical_dict():
+    """Digest surface is frozen: bank_stats is observability-only."""
+    scenario = QUICK_SCENARIOS[0]
+    config = all_configs()[scenario.config]
+    workload = build_workload(
+        scenario.workload,
+        num_accesses=scenario.trace_length,
+        num_sms=config.num_sms,
+        seed=scenario.seed,
+    )
+    result = make_simulator(config, workload, engine="soa").run()
+    assert result.bank_stats is not None
+    assert "bank_stats" not in simulation_result_to_dict(result)

@@ -74,19 +74,13 @@ class TestOtherCommands:
     def test_simulate_unknown_config(self, capsys):
         assert main(["simulate", "bfs", "nope"]) == 2
 
-    def test_simulate_shards_requires_sharded_engine(self, capsys):
-        assert main(["simulate", "bfs", "C1", "--engine", "soa",
-                     "--shards", "4"]) == 2
-        assert "--engine sharded" in capsys.readouterr().err
-
-    def test_simulate_workers_requires_sharded_engine(self, capsys):
-        assert main(["simulate", "bfs", "C1", "--workers", "2"]) == 2
-        assert "--engine sharded" in capsys.readouterr().err
-
-    def test_simulate_sharded_defaults_to_four_shards(self, capsys):
-        assert main(["simulate", "bfs", "C1", "--engine", "sharded",
-                     "--workers", "1"]) == 0
-        assert "(4 shards, 1 workers)" in capsys.readouterr().out
+    def test_simulate_prints_bank_summary_on_default_engine(self, capsys):
+        assert main(["simulate", "bfs", "C1", "--trace-length", "2000"]) == 0
+        banks = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("L2 banks       : ")]
+        assert len(banks) == 1
+        assert "active, conflict rate" in banks[0]
+        assert "shards" not in banks[0]
 
 
 class TestDiffCommand:

@@ -168,44 +168,6 @@ class TestMetricsDocs:
         assert "docs/metrics.md" in readme
 
 
-class TestShardingDocs:
-    """docs/sharding.md must document the sharded engine and stay linked."""
-
-    def test_sharding_md_covers_the_contract(self):
-        text = (REPO_ROOT / "docs" / "sharding.md").read_text()
-        # routing, merge determinism, topology and the break-even guide
-        # are the document's reason to exist
-        assert "bank hash" in text.lower()
-        assert "--shards" in text
-        assert "byte-identical" in text
-        assert "## The deterministic-merge protocol" in text
-        assert "## Worker topology" in text
-        assert "## When `sharded` beats `soa`" in text
-
-    def test_sharding_md_documents_the_approximation_honestly(self):
-        """Multi-shard replay is an approximation; the doc must say so
-        rather than implying soa-equality at every shard count."""
-        text = (REPO_ROOT / "docs" / "sharding.md").read_text()
-        assert "approximat" in text.lower()
-        assert "`--shards 1`" in text or "--shards 1" in text
-
-    def test_cross_linked_from_readme_engine_and_architecture(self):
-        readme = (REPO_ROOT / "README.md").read_text()
-        engine = (REPO_ROOT / "docs" / "engine.md").read_text()
-        architecture = (REPO_ROOT / "docs" / "architecture.md").read_text()
-        performance = (REPO_ROOT / "docs" / "performance.md").read_text()
-        assert "docs/sharding.md" in readme
-        assert "sharding.md" in engine
-        assert "sharding.md" in architecture
-        assert "sharding.md" in performance
-
-    def test_default_scan_covers_sharding_md(self):
-        import check_docs_links
-
-        files = {p.name for p in check_docs_links.default_files(REPO_ROOT)}
-        assert "sharding.md" in files
-
-
 class TestServiceDocs:
     """docs/service.md's quickstart must actually run against a live
     server — the same no-stale-examples rule the README gets."""

@@ -4,11 +4,10 @@ A lightweight pydocstyle-style gate: every module, public class and public
 function in ``repro.experiments.*``, ``repro.telemetry``, ``repro.io``,
 ``repro.tracing.*``, ``repro.benchmarks``, the replay hot path
 (``repro.cache.*``, ``repro.gpu.*``), the SoA engine
-(``repro.engine.*``), the sharded engine (``repro.shard.*``), the
-simulation service (``repro.service.*``) and the analytical surrogate
-(``repro.surrogate.*``) must
-carry a docstring, and the experiment modules'
-docstrings must state their job-decomposition contract.
+(``repro.engine.*``), the simulation service (``repro.service.*``) and the
+analytical surrogate (``repro.surrogate.*``) must carry a docstring, and
+the experiment modules' docstrings must state their job-decomposition
+contract.
 """
 
 import importlib
@@ -22,7 +21,6 @@ import repro.engine
 import repro.experiments
 import repro.gpu
 import repro.service
-import repro.shard
 import repro.surrogate
 
 CHECKED_MODULES = sorted(
@@ -38,9 +36,6 @@ CHECKED_MODULES = sorted(
     f"repro.engine.{m.name}"
     for m in pkgutil.iter_modules(repro.engine.__path__)
 ) + sorted(
-    f"repro.shard.{m.name}"
-    for m in pkgutil.iter_modules(repro.shard.__path__)
-) + sorted(
     f"repro.service.{m.name}"
     for m in pkgutil.iter_modules(repro.service.__path__)
 ) + sorted(
@@ -48,7 +43,7 @@ CHECKED_MODULES = sorted(
     for m in pkgutil.iter_modules(repro.surrogate.__path__)
 ) + [
     "repro.experiments", "repro.cache", "repro.gpu", "repro.engine",
-    "repro.shard", "repro.service", "repro.surrogate",
+    "repro.service", "repro.surrogate",
     "repro.telemetry", "repro.io", "repro.benchmarks",
     "repro.tracing", "repro.tracing.collector", "repro.tracing.schema",
 ]

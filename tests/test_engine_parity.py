@@ -189,9 +189,7 @@ def test_engine_resolution_fallbacks_and_errors():
         resolve_engine(config, engine="soa", tracer=_Tracer())
     with pytest.raises(ConfigurationError):
         resolve_engine(config, engine="no-such-engine")
-    assert set(ENGINES) == {"object", "soa", "sharded"}
-    with pytest.raises(ConfigurationError):
-        resolve_engine(config, engine="sharded", tracer=_Tracer())
+    assert set(ENGINES) == {"object", "soa"}
 
 
 def test_make_simulator_returns_the_resolved_engine():

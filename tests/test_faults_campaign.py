@@ -173,13 +173,10 @@ class TestDigestGateWithCheckerAttached:
         from repro.workloads import build_workload
 
         baseline_doc = load_json(REPO_ROOT / "BENCH_replay.json")
-        # multi-shard records pin a different (documented) digest, so key
-        # only the engines in the digest-equivalence set
         baseline = {
             (s["workload"], s["config"], s["trace_length"], s["seed"]):
                 s["result_sha256"]
             for s in baseline_doc["scenarios"]
-            if s.get("shards", 1) == 1
         }
         scenario = QUICK_SCENARIOS[0]
         key = (scenario.workload, scenario.config,

@@ -109,6 +109,10 @@ class TestProtocol:
          "trace_length": 10**9},
         {"kind": "simulate", "benchmark": "bfs", "config": "C1",
          "engine": "soa", "shards": 4},
+        {"kind": "simulate", "benchmark": "bfs", "config": "C1",
+         "engine": "sharded"},
+        {"kind": "simulate", "benchmark": "bfs", "config": "C1",
+         "shards": 4},
         {"kind": "experiment", "experiment": "table9"},
         {"kind": "experiment", "experiment": "table1", "benchmarks": []},
         {"kind": "experiment", "experiment": "table1",
@@ -117,6 +121,13 @@ class TestProtocol:
     def test_invalid_requests_are_rejected(self, request_obj):
         with pytest.raises(ServiceError):
             validate_request(request_obj)
+
+    def test_shards_field_is_rejected_as_removed(self):
+        with pytest.raises(ServiceError, match="'shards' was removed"):
+            validate_request(
+                {"kind": "simulate", "benchmark": "bfs", "config": "C1",
+                 "shards": 1}
+            )
 
 
 def _fill(store, keys, payload_size=64):
