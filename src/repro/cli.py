@@ -140,8 +140,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"repro-sttgpu simulate: {exc}", file=sys.stderr)
         return 2
     result = simulator.run()
+    from repro.engine.soa_sim import SoaGPUSimulator
+
     print(f"benchmark      : {result.workload}")
     print(f"config         : {result.config}")
+    if isinstance(simulator, SoaGPUSimulator):
+        print(f"engine         : soa ({simulator.replay_path})")
+    else:
+        print("engine         : object")
     print(f"IPC            : {result.ipc:.2f} (bound by {result.bound_by})")
     print(f"warps/SM       : {result.warps_per_sm} (limited by {result.occupancy_limiter})")
     print(f"L1 hit rate    : {result.l1_hit_rate:.3f}")

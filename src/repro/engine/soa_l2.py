@@ -12,7 +12,10 @@ write-through block views, which keeps the equivalence surface small
 
 Each inlined path preserves the object model's exact operation order,
 including float accumulation order, so results are byte-identical, not
-just statistically equivalent.
+just statistically equivalent.  These ``access`` methods are what the
+``soa`` engine's pure-Python replay path calls and what the lockstep
+oracle drives; ``kernel.c`` transcribes the same code for the compiled
+path.
 
 Unsupported features raise at construction instead of silently diverging:
 enabled tracers (per-access trace hooks would have to be replicated in
@@ -270,26 +273,12 @@ class SoaTwoPartL2(TwoPartSTTL2):
     def _migrate_and_write(
         self, line: int, now: float, energy: float, tag_latency: float
     ) -> L2AccessResult:
-        """HR write hit above threshold: move the line to LR, write there."""
-        latency, writebacks = self._migrate_fast(line, now, energy, tag_latency)
-        return L2AccessResult(
-            hit=True, part="lr",
-            latency_s=latency,
-            energy_j=energy + self._hr_r_en + self._lr_w_en,
-            dram_writebacks=writebacks,
-            migrated=True,
-        )
+        """HR write hit above threshold: move the line to LR, write there.
 
-    def _migrate_fast(
-        self, line: int, now: float, energy: float, tag_latency: float
-    ) -> tuple:
-        """:meth:`TwoPartSTTL2._migrate_and_write` minus the result object.
-
-        Returns ``(latency_s, dram_writebacks)`` for the fused replay loop.
-        The HR demand write-hit accounting and the extract are inlined over
-        the vectors (the caller already located the line in HR); the buffer
-        push, LR fill and any LR-eviction return ride the shared methods —
-        they are rare and already SoA-backed.
+        :meth:`TwoPartSTTL2._migrate_and_write` with the HR demand
+        write-hit accounting and the extract inlined over the vectors (the
+        caller already located the line in HR); the buffer push, LR fill
+        and any LR-eviction return ride the shared methods.
         """
         writebacks = 0
         migration_energy = self._hr_r_en  # read out of HR
@@ -331,7 +320,13 @@ class SoaTwoPartL2(TwoPartSTTL2):
             )
         self._energy.demand_j += energy
         self._energy.migration_j += migration_energy
-        return tag_latency + self._lr_w_lat, writebacks
+        return L2AccessResult(
+            hit=True, part="lr",
+            latency_s=tag_latency + self._lr_w_lat,
+            energy_j=energy + migration_energy,
+            dram_writebacks=writebacks,
+            migrated=True,
+        )
 
     def maintenance(self, now: float) -> int:
         """Drain buffers and run due retention sweeps; returns write-backs.

@@ -82,6 +82,20 @@ class TestOtherCommands:
         assert "active, conflict rate" in banks[0]
         assert "shards" not in banks[0]
 
+    def test_simulate_header_names_the_replay_path(self, capsys, monkeypatch):
+        from repro.engine import kernel, replay_path
+
+        assert main(["simulate", "bfs", "C1", "--trace-length", "500"]) == 0
+        out = capsys.readouterr().out
+        assert f"engine         : soa ({replay_path()})" in out.splitlines()
+        monkeypatch.setattr(kernel, "load", lambda: (None, "cc not found"))
+        assert main(["simulate", "bfs", "C1", "--trace-length", "500"]) == 0
+        out = capsys.readouterr().out
+        assert "engine         : soa (python: cc not found)" in out.splitlines()
+        assert main(["simulate", "bfs", "C1", "--trace-length", "500",
+                     "--engine", "object"]) == 0
+        assert "engine         : object" in capsys.readouterr().out
+
 
 class TestDiffCommand:
     def test_clean_run_exits_zero(self, tmp_path, capsys):
