@@ -10,15 +10,21 @@ engines stay access-for-access equivalent.  Steady-state demand accesses
 allocate nothing: hit/miss outcomes are cached and all state updates are
 list-element writes.
 
-Cold paths (analysis, snapshots, fault audits) still expect
-``CacheBlock``-shaped objects and ``CacheSet``-shaped sets; the
-:class:`SoaBlockView` and :class:`SoaSetView` proxies provide write-through
-views over the flat vectors so inherited object-model code (refresh
-sweeps, state snapshots, per-set analyses) runs unmodified on SoA state.
+Cold paths (state snapshots, per-set analyses, block inspection in
+tests) still expect ``CacheBlock``-shaped objects and ``CacheSet``-shaped
+sets; the :class:`SoaBlockView` and :class:`SoaSetView` proxies provide
+write-through views over the flat vectors so inherited object-model code
+runs unmodified on SoA state.  The ``block_views`` and ``sets`` lists are
+built on first use: a simulation reads neither (the compiled kernel, the
+demand paths, the ``SoaRefreshEngine`` sweeps and :meth:`dirty_count` all
+work on the vectors), and one view per line used to be most of the cost
+of building a simulator.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+from operator import and_
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.cache.address import AddressMapper
@@ -258,14 +264,6 @@ class SoaCacheArray:
             list(range(associativity)) for _ in range(num_sets)
         ]
 
-        #: write-through cold-path views (one per line / per set)
-        self.block_views: List[SoaBlockView] = [
-            SoaBlockView(self, slot) for slot in range(num_lines)
-        ]
-        self.sets: List[SoaSetView] = [
-            SoaSetView(self, index) for index in range(num_sets)
-        ]
-
         # shared-outcome caches, exactly like the object array's
         self._hit_outcomes: dict = {}
         self._miss_outcomes: dict = {}
@@ -276,6 +274,18 @@ class SoaCacheArray:
         self._set_bits = self.mapper._set_bits
         self._set_mask = self.mapper._set_mask
         self._num_sets = num_sets
+
+    # --- cold-path views (built on first use) ------------------------------
+
+    @cached_property
+    def block_views(self) -> List[SoaBlockView]:
+        """Write-through block views, one per line, in slot order."""
+        return [SoaBlockView(self, slot) for slot in range(self.num_lines)]
+
+    @cached_property
+    def sets(self) -> List[SoaSetView]:
+        """Set views, one per set, in index order."""
+        return [SoaSetView(self, index) for index in range(self._num_sets)]
 
     # --- geometry ---------------------------------------------------------
 
@@ -557,3 +567,7 @@ class SoaCacheArray:
     def occupancy(self) -> float:
         """Fraction of lines currently valid."""
         return sum(self.valid_vec) / self.num_lines
+
+    def dirty_count(self) -> int:
+        """Valid dirty lines, counted from the vectors (no block views)."""
+        return sum(map(and_, self.valid_vec, self.dirty_vec))

@@ -137,6 +137,10 @@ class SoaUniformL2(UniformL2):
         self._soa_num_sets = array.num_sets
         self._soa_assoc = array.associativity
 
+    def dirty_lines(self) -> int:
+        """:meth:`UniformL2.dirty_lines`, counted from the flat vectors."""
+        return self.array.dirty_count()
+
     def access(self, address: int, is_write: bool, now: float) -> L2AccessResult:
         """Inlined transcription of :meth:`UniformL2.access` over vectors."""
         if address < 0:
@@ -327,6 +331,10 @@ class SoaTwoPartL2(TwoPartSTTL2):
             dram_writebacks=writebacks,
             migrated=True,
         )
+
+    def dirty_lines(self) -> int:
+        """:meth:`TwoPartSTTL2.dirty_lines`, counted from the flat vectors."""
+        return self.lr_array.dirty_count() + self.hr_array.dirty_count()
 
     def maintenance(self, now: float) -> int:
         """Drain buffers and run due retention sweeps; returns write-backs.

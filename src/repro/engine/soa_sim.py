@@ -22,12 +22,16 @@ byte-identical on either path.  Integer counters may be accumulated
 locally and folded into the components after the loop, since integer
 addition commutes.
 
-The one intentional divergence, on the kernel path only: per-line
-L1/read-only *wear* counters (``set_writes``/``frame_writes``/
-``set_evictions`` and per-block timestamps) and the L1/read-only cache
-contents are not written back — nothing downstream reads them — while
-aggregate ``CacheStats``, ``L1Stats``, ``MSHRStats``, the outstanding
-fetches, bank and DRAM state are.
+The per-SM L1 and const/texture caches are
+:class:`~repro.engine.soa_array.SoaCacheArray` instances too
+(:attr:`SoaGPUSimulator.ARRAY_FACTORY`), so both paths build the same
+components and no per-line object.  The one intentional divergence, on
+the kernel path only: those caches' contents and per-line *wear*
+counters (``set_writes``/``frame_writes``/``set_evictions`` and per-line
+timestamps) are not written back — the kernel reads only their geometry
+and stats, and nothing downstream reads their lines — while aggregate
+``CacheStats``, ``L1Stats``, ``MSHRStats``, the outstanding fetches,
+bank and DRAM state are.
 
 Not supported (the registry falls back to the object engine): tracing,
 invariant checkers, fault injection, immediate (non-deferred) L1 fills
@@ -46,6 +50,7 @@ from repro.config import GPUConfig
 from repro.core.factory import build_l2
 from repro.core.refresh import RefreshActions
 from repro.engine import kernel as compiled
+from repro.engine.soa_array import SoaCacheArray
 from repro.engine.soa_l2 import SoaTwoPartL2
 from repro.errors import ConfigurationError, SimulationError
 from repro.gpu.metrics import SimulationResult
@@ -197,6 +202,8 @@ def _buffer_out(buffers: _Buffers, key: str, struct, buffer) -> None:
 
 class SoaGPUSimulator(GPUSimulator):
     """One (workload, configuration) simulation on the SoA replay."""
+
+    ARRAY_FACTORY = SoaCacheArray
 
     def __init__(
         self,

@@ -84,6 +84,9 @@ class GPUL1Cache:
         Optional :class:`~repro.tracing.TraceCollector`; mirrors the
         GPU-specific policy events (write-evictions, local write-backs,
         coalesced misses, MSHR stalls) into aggregate ``l1.*`` counters.
+    array_factory:
+        Cache-array class holding the lines: the object array, or the
+        ``soa`` engine's drop-in ``SoaCacheArray``.
     """
 
     def __init__(
@@ -93,9 +96,10 @@ class GPUL1Cache:
         deferred_fills: bool = False,
         mshr_entries: int = 32,
         tracer: Optional[TraceCollector] = None,
+        array_factory=SetAssociativeCache,
     ) -> None:
         self.config = config
-        self.array = SetAssociativeCache(
+        self.array = array_factory(
             config.capacity_bytes,
             config.associativity,
             config.line_size,

@@ -36,11 +36,20 @@ TEXTURE_CACHE_CONFIG = ROCacheConfig(12 * KB, 4, 64)
 
 
 class ReadOnlyCache:
-    """One SM's constant or texture cache."""
+    """One SM's constant or texture cache.
 
-    def __init__(self, config: ROCacheConfig, name: str = "rocache") -> None:
+    ``array_factory`` is the cache-array class holding the lines (see
+    :class:`~repro.gpu.l1.GPUL1Cache`).
+    """
+
+    def __init__(
+        self,
+        config: ROCacheConfig,
+        name: str = "rocache",
+        array_factory=SetAssociativeCache,
+    ) -> None:
         self.config = config
-        self.array = SetAssociativeCache(
+        self.array = array_factory(
             config.capacity_bytes,
             config.associativity,
             config.line_size,

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.cache.array import SetAssociativeCache
 from repro.cache.banked import BankedCache
 from repro.config import GPUConfig
 from repro.core.factory import build_l2
@@ -68,6 +69,9 @@ TIME_DILATION = 10.0
 class GPUSimulator:
     """One (workload, configuration) simulation."""
 
+    #: cache-array class behind the per-SM L1 and const/texture caches
+    ARRAY_FACTORY = SetAssociativeCache
+
     def __init__(
         self,
         config: GPUConfig,
@@ -108,15 +112,17 @@ class GPUSimulator:
         )
         self.l1s = [
             GPUL1Cache(config.l1, name=f"l1-sm{i}", deferred_fills=deferred_l1_fills,
-                       tracer=self.tracer)
+                       tracer=self.tracer, array_factory=self.ARRAY_FACTORY)
             for i in range(config.num_sms)
         ]
         self.const_caches = [
-            ReadOnlyCache(CONST_CACHE_CONFIG, name=f"const-sm{i}")
+            ReadOnlyCache(CONST_CACHE_CONFIG, name=f"const-sm{i}",
+                          array_factory=self.ARRAY_FACTORY)
             for i in range(config.num_sms)
         ]
         self.texture_caches = [
-            ReadOnlyCache(TEXTURE_CACHE_CONFIG, name=f"tex-sm{i}")
+            ReadOnlyCache(TEXTURE_CACHE_CONFIG, name=f"tex-sm{i}",
+                          array_factory=self.ARRAY_FACTORY)
             for i in range(config.num_sms)
         ]
         self.banks = BankedCache(config.l2.num_banks, config.l2.line_size)

@@ -109,78 +109,85 @@ class TraceGenerator:
 
         phase_len = max(1, int(num_accesses * p.phase_fraction))
         burst_len = int(phase_len * p.burst_fraction)
-        index = np.arange(num_accesses)
-        phase_of = index // phase_len
-        in_burst = (index % phase_len) >= (phase_len - burst_len)
+        # the burst tail of one phase, repeated over the whole trace
+        in_burst = np.resize(
+            np.arange(phase_len) >= phase_len - burst_len, num_accesses
+        )
+
+        # Positions of each kind outside the bursts, found in one pass: a
+        # stable sort keeps every kind's positions in trace order, so each
+        # segment fills the same records, in the same order, as a boolean
+        # mask per kind would select.  Burst records sort last, as kind
+        # len(_KINDS).
+        drawn = np.where(in_burst, len(_KINDS), kinds).astype(np.int8)
+        order = np.argsort(drawn, kind="stable")
+        edges = np.searchsorted(drawn[order], np.arange(len(_KINDS) + 1))
+        positions = {
+            kind: order[edges[k]:edges[k + 1]] for k, kind in enumerate(_KINDS)
+        }
 
         # --- streaming ------------------------------------------------
         for kind, is_write in (("stream_read", False), ("stream_write", True)):
-            mask = (kinds == _KINDS.index(kind)) & ~in_burst
-            count = int(mask.sum())
-            if count:
-                lines = stream.draw(rng, count)
-                addresses[mask] = STREAM_BASE + lines * ACCESS_GRANULARITY
+            at = positions[kind]
+            if len(at):
+                lines = stream.draw(rng, len(at))
+                addresses[at] = STREAM_BASE + lines * ACCESS_GRANULARITY
                 if is_write:
-                    flags[mask] |= FLAG_WRITE
+                    flags[at] |= FLAG_WRITE
 
         # --- hot read-mostly data ------------------------------------------
-        mask = (kinds == _KINDS.index("hot_read")) & ~in_burst
-        count = int(mask.sum())
-        if count:
-            lines = hot.draw(rng, count)
-            addresses[mask] = HOT_BASE + lines * ACCESS_GRANULARITY
+        at = positions["hot_read"]
+        if len(at):
+            lines = hot.draw(rng, len(at))
+            addresses[at] = HOT_BASE + lines * ACCESS_GRANULARITY
 
         # --- write working set (phase-aware) --------------------------------
         for kind, is_write in (("wws_write", True), ("wws_read", False)):
-            kind_mask = (kinds == _KINDS.index(kind)) & ~in_burst
-            for phase in np.unique(phase_of[kind_mask]):
-                mask = kind_mask & (phase_of == phase)
-                count = int(mask.sum())
-                if not count:
-                    continue
-                wws.start_phase(int(phase))
-                lines = wws.draw(rng, count)
+            kind_at = positions[kind]
+            # positions ascend, so each phase is one contiguous run
+            phase_of = kind_at // phase_len
+            phases, starts = np.unique(phase_of, return_index=True)
+            for phase, at in zip(phases.tolist(), np.split(kind_at, starts[1:])):
+                wws.start_phase(phase)
+                lines = wws.draw(rng, len(at))
                 base = WWS_BASE
                 if p.wws_private:
-                    base = WWS_BASE + sms[mask].astype(np.int64) * (
+                    base = WWS_BASE + sms[at].astype(np.int64) * (
                         p.wws_lines * ACCESS_GRANULARITY
                     )
-                addresses[mask] = base + lines * ACCESS_GRANULARITY
+                addresses[at] = base + lines * ACCESS_GRANULARITY
                 if is_write:
-                    flags[mask] |= FLAG_WRITE
+                    flags[at] |= FLAG_WRITE
 
         # --- local (per-thread) data ---------------------------------------
         for kind, is_write in (("local_read", False), ("local_write", True)):
-            mask = (kinds == _KINDS.index(kind)) & ~in_burst
-            count = int(mask.sum())
-            if count:
-                lines = local.draw(rng, count)
-                base = LOCAL_BASE + sms[mask].astype(np.int64) * (
+            at = positions[kind]
+            if len(at):
+                lines = local.draw(rng, len(at))
+                base = LOCAL_BASE + sms[at].astype(np.int64) * (
                     p.local_lines * ACCESS_GRANULARITY
                 )
-                addresses[mask] = base + lines * ACCESS_GRANULARITY
-                flags[mask] |= FLAG_LOCAL
+                addresses[at] = base + lines * ACCESS_GRANULARITY
+                flags[at] |= FLAG_LOCAL
                 if is_write:
-                    flags[mask] |= FLAG_WRITE
+                    flags[at] |= FLAG_WRITE
 
         # --- constant / texture reads (served by dedicated RO caches) -------
         for kind, segment, base, flag in (
             ("const_read", const, CONST_BASE, FLAG_CONST),
             ("texture_read", texture, TEXTURE_BASE, FLAG_TEXTURE),
         ):
-            mask = (kinds == _KINDS.index(kind)) & ~in_burst
-            count = int(mask.sum())
-            if count:
-                lines = segment.draw(rng, count)
-                addresses[mask] = base + lines * ACCESS_GRANULARITY
-                flags[mask] |= flag
+            at = positions[kind]
+            if len(at):
+                lines = segment.draw(rng, len(at))
+                addresses[at] = base + lines * ACCESS_GRANULARITY
+                flags[at] |= flag
 
         # --- end-of-phase output bursts -------------------------------------
-        count = int(in_burst.sum())
-        if count:
-            sequential = np.cumsum(in_burst) - 1
-            out_lines = sequential[in_burst] % max(1, p.output_lines)
-            addresses[in_burst] = OUTPUT_BASE + out_lines * ACCESS_GRANULARITY
-            flags[in_burst] |= FLAG_WRITE
+        at = np.flatnonzero(in_burst)
+        if len(at):
+            out_lines = np.arange(len(at)) % max(1, p.output_lines)
+            addresses[at] = OUTPUT_BASE + out_lines * ACCESS_GRANULARITY
+            flags[at] |= FLAG_WRITE
 
         return Trace(sms, addresses, flags)

@@ -18,7 +18,7 @@ addresses inside disjoint address regions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -103,23 +103,28 @@ class PhasedWriteSegment(SegmentSpec):
     """The WWS: Zipf rewrites, re-randomized each phase.
 
     Each phase re-shuffles which lines are hot, modelling one grid's private
-    write set being retired when the next grid starts.
+    write set being retired when the next grid starts.  A phase's shuffle
+    depends only on ``permutation_seed + phase``, so it is computed once and
+    reused when the generator revisits the phase (its write pass, then its
+    read pass).
     """
 
     alpha: float = 1.0
     permutation_seed: int = 777
     _pmf: Optional[np.ndarray] = field(default=None, repr=False)
     _perm: Optional[np.ndarray] = field(default=None, repr=False)
-    _phase: int = field(default=-1, repr=False)
+    _perms: Dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     def start_phase(self, phase_index: int) -> None:
         """Re-randomize the hot set for a new phase (grid)."""
-        if phase_index != self._phase:
-            self._phase = phase_index
+        perm = self._perms.get(phase_index)
+        if perm is None:
             perm_rng = np.random.default_rng(self.permutation_seed + phase_index)
-            self._perm = perm_rng.permutation(self.num_lines)
-            if self._pmf is None:
-                self._pmf = zipf_pmf(self.num_lines, self.alpha)
+            perm = perm_rng.permutation(self.num_lines)
+            self._perms[phase_index] = perm
+        self._perm = perm
+        if self._pmf is None:
+            self._pmf = zipf_pmf(self.num_lines, self.alpha)
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
         if self._perm is None:

@@ -25,6 +25,9 @@ four ways:
   same order) on a shared access-and-maintenance schedule, and a replay
   whose L2 times land exactly on the refresh-tick grid must reschedule
   its sweeps the same way on both engines.
+* **Lazy cold-path views** — a kernel-path run builds no per-line block
+  view; the views built afterwards read the written-back state and equal
+  the object engine's blocks.
 
 The Python path is forced by replacing the kernel loader, the way a host
 without a C compiler sees it.  Engine selection itself (fallbacks,
@@ -45,10 +48,12 @@ from repro.benchmarks import (
     all_configs,
     result_digest,
 )
+from repro.cache.array import SetAssociativeCache
 from repro.config import GPUConfig, L2Config, L2PartConfig
 from repro.core import refresh
 from repro.engine import ENGINES, make_simulator, resolve_engine
 from repro.engine import kernel as compiled
+from repro.engine.soa_array import SoaBlockView, SoaCacheArray
 from repro.engine.soa_l2 import SoaTwoPartL2
 from repro.engine.soa_sim import SoaGPUSimulator
 from repro.errors import ConfigurationError
@@ -313,6 +318,58 @@ def test_refresh_ticks_landing_on_the_grid(records_per_tick, monkeypatch):
             assert guarded, "no sweep landed on the tick grid"
     _assert_same_outputs(*runs)
     _assert_default_path(runs[-1])
+
+
+def _blocks(array):
+    """Every line's bookkeeping, read through the array's block views."""
+    return [
+        (index, way, block.valid, block.tag, block.dirty, block.write_count,
+         block.total_writes, block.total_reads, block.last_write_time,
+         block.last_access_time, block.insert_time)
+        for index, way, block in array.iter_blocks()
+    ]
+
+
+@pytest.mark.parametrize("config_name", ["C1", "baseline"])
+def test_kernel_run_builds_no_block_views(config_name, monkeypatch):
+    """Building a ``soa`` simulator and running the kernel creates no
+    per-line view on any array; views built afterwards read the state the
+    kernel wrote back, and equal the object engine's blocks."""
+    if compiled.load()[0] is None:
+        pytest.skip(f"compiled kernel unavailable: {compiled.load()[1]}")
+    built = []
+    original = SoaBlockView.__init__
+
+    def counting_init(self, array, slot):
+        built.append(slot)
+        original(self, array, slot)
+
+    monkeypatch.setattr(SoaBlockView, "__init__", counting_init)
+    config = all_configs()[config_name]
+    _, obj_sim = _run("bfs", config, 4000, 0, "object")
+    _, soa_sim = _run("bfs", config, 4000, 0, "soa")
+    assert soa_sim.replay_path == "compiled kernel"
+    l2_arrays = {
+        "object": ((obj_sim.l2.lr_array, obj_sim.l2.hr_array)
+                   if config_name == "C1" else (obj_sim.l2.array,)),
+        "soa": ((soa_sim.l2.lr_array, soa_sim.l2.hr_array)
+                if config_name == "C1" else (soa_sim.l2.array,)),
+    }
+    soa_arrays = l2_arrays["soa"] + tuple(
+        cache.array for cache in
+        soa_sim.l1s + soa_sim.const_caches + soa_sim.texture_caches
+    )
+    assert all(isinstance(array, SoaCacheArray) for array in soa_arrays)
+    assert all(type(l1.array) is SetAssociativeCache for l1 in obj_sim.l1s)
+    assert built == []
+    assert not any({"sets", "block_views"} & set(vars(array))
+                   for array in soa_arrays)
+
+    if config_name == "C1":
+        assert soa_sim.l2.state_snapshot() == obj_sim.l2.state_snapshot()
+    for obj_array, soa_array in zip(l2_arrays["object"], l2_arrays["soa"]):
+        assert _blocks(soa_array) == _blocks(obj_array)
+    assert len(built) == sum(array.num_lines for array in l2_arrays["soa"])
 
 
 @pytest.mark.parametrize("profile", ["bfs", "stencil"])

@@ -1,7 +1,14 @@
-"""Tests for the constant/texture read-only caches and their routing."""
+"""Tests for the constant/texture read-only caches and their routing.
+
+:class:`TestReadOnlyCacheSoa` reruns the cache cases on the ``soa``
+engine's :class:`SoaCacheArray` backing; the texture geometry (12 KB,
+4-way, 64 B lines) has 48 sets, so it takes the non-power-of-two split.
+"""
 
 import pytest
 
+from repro.cache.array import SetAssociativeCache
+from repro.engine.soa_array import SoaCacheArray
 from repro.errors import ConfigurationError
 from repro.gpu.readonly import (
     CONST_CACHE_CONFIG,
@@ -25,29 +32,38 @@ class TestROCacheConfig:
 
 
 class TestReadOnlyCache:
+    ARRAY = SetAssociativeCache
+
+    def make(self, config):
+        return ReadOnlyCache(config, array_factory=self.ARRAY)
+
     def test_miss_then_hit(self):
-        cache = ReadOnlyCache(CONST_CACHE_CONFIG)
+        cache = self.make(CONST_CACHE_CONFIG)
         first = cache.access(0x1000, now=0.0)
         assert first is not None and first.kind == "fetch"
         assert cache.access(0x1000, now=1e-9) is None
 
     def test_no_dirty_lines_ever(self):
-        cache = ReadOnlyCache(TEXTURE_CACHE_CONFIG)
+        cache = self.make(TEXTURE_CACHE_CONFIG)
         for i in range(500):
             cache.access(i * 64, now=i * 1e-9)
         dirty = [b for _, _, b in cache.array.iter_blocks() if b.valid and b.dirty]
         assert dirty == []
 
     def test_fetch_line_aligned(self):
-        cache = ReadOnlyCache(TEXTURE_CACHE_CONFIG)  # 64B lines
+        cache = self.make(TEXTURE_CACHE_CONFIG)  # 64B lines
         request = cache.access(0x1033, now=0.0)
         assert request is not None and request.address == 0x1000
 
     def test_hit_rate(self):
-        cache = ReadOnlyCache(CONST_CACHE_CONFIG)
+        cache = self.make(CONST_CACHE_CONFIG)
         cache.access(0x0, now=0.0)
         cache.access(0x0, now=1e-9)
         assert cache.hit_rate == pytest.approx(0.5)
+
+
+class TestReadOnlyCacheSoa(TestReadOnlyCache):
+    ARRAY = SoaCacheArray
 
 
 class TestSimulatorRouting:
