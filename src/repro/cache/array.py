@@ -350,3 +350,10 @@ class SetAssociativeCache:
         """Fraction of lines currently valid."""
         valid = sum(s.occupancy() for s in self.sets)
         return valid / self.num_lines
+
+    def dirty_count(self) -> int:
+        """Valid dirty lines (the owning L2's ``dirty_lines``)."""
+        return sum(
+            1 for _, _, block in self.iter_blocks()
+            if block.valid and block.dirty
+        )

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.areapower.technology import TECH_40NM, TechnologyNode
+from repro.cache.array import SetAssociativeCache
 from repro.config import L2Config
 from repro.core.interface import L2Interface
 from repro.core.relaxed import RelaxedUniformL2
@@ -28,38 +29,44 @@ def build_l2(
     ``tracer`` (a :class:`~repro.tracing.TraceCollector`) threads the
     observability layer through the built cache and its subcomponents;
     ``None`` keeps every instrumentation site on the shared no-op
-    collector.  ``engine`` selects the simulation backend: ``"object"``
-    (the reference per-block model) or ``"soa"`` (the batched
-    structure-of-arrays model, see docs/engine.md); both produce
-    byte-identical results where the SoA engine is supported.
+    collector.  ``engine`` picks the cache arrays behind the same L2
+    classes: ``"object"`` (one object per block) or ``"soa"`` (the flat
+    :class:`~repro.engine.soa_array.SoaCacheArray`, see docs/engine.md);
+    both produce byte-identical results.  ``"soa"`` rejects an enabled
+    tracer and the ``stt-relaxed`` kind (fault injectors never reach this
+    factory: :mod:`repro.faults` builds its own object-engine L2).
     """
     if engine == "object":
-        uniform_cls = UniformL2
-        twopart_cls = TwoPartSTTL2
+        array_factory = SetAssociativeCache
     elif engine == "soa":
         # imported lazily: repro.engine depends on this module
-        from repro.engine.soa_l2 import SoaTwoPartL2, SoaUniformL2
+        from repro.engine.soa_array import SoaCacheArray
 
         if config.kind == "stt-relaxed":
             raise ConfigurationError(
                 "the soa engine does not support the stt-relaxed L2; "
                 "use engine='object'"
             )
-        uniform_cls = SoaUniformL2
-        twopart_cls = SoaTwoPartL2
+        if tracer is not None and tracer.enabled:
+            raise ConfigurationError(
+                "the soa engine does not support per-access tracing; "
+                "use the object engine"
+            )
+        array_factory = SoaCacheArray
     else:
         raise ConfigurationError(f"unknown engine {engine!r}")
     if config.kind == "sram":
-        return uniform_cls(
+        return UniformL2(
             config.main.capacity_bytes,
             config.main.associativity,
             config.main.line_size,
             technology="sram",
             tech=tech,
             tracer=tracer,
+            array_factory=array_factory,
         )
     if config.kind == "stt":
-        return uniform_cls(
+        return UniformL2(
             config.main.capacity_bytes,
             config.main.associativity,
             config.main.line_size,
@@ -67,6 +74,7 @@ def build_l2(
             tech=tech,
             early_write_termination=config.early_write_termination,
             tracer=tracer,
+            array_factory=array_factory,
         )
     if config.kind == "stt-relaxed":
         return RelaxedUniformL2(
@@ -80,7 +88,7 @@ def build_l2(
         )
     if config.kind == "twopart":
         assert config.lr is not None  # validated by L2Config
-        return twopart_cls(
+        return TwoPartSTTL2(
             hr_capacity_bytes=config.main.capacity_bytes,
             hr_associativity=config.main.associativity,
             lr_capacity_bytes=config.lr.capacity_bytes,
@@ -96,5 +104,6 @@ def build_l2(
             early_write_termination=config.early_write_termination,
             lr_technology=config.lr_technology,
             tracer=tracer,
+            array_factory=array_factory,
         )
     raise ConfigurationError(f"unknown L2 kind {config.kind!r}")

@@ -49,12 +49,12 @@ HR_COUNTER_BITS = 2
 
 
 class TwoPartSTTL2(L2Interface):
-    """The paper's two-part STT-RAM last-level cache."""
+    """The paper's two-part STT-RAM last-level cache.
 
-    #: Behavioural cache-array class used for both parts.  Engine backends
-    #: (``repro.engine``) subclass this L2 and swap in an array with the
-    #: same constructor signature and access semantics (docs/engine.md).
-    ARRAY_FACTORY = SetAssociativeCache
+    ``array_factory`` is the cache-array class holding both parts: the
+    object array, or the ``soa`` engine's drop-in ``SoaCacheArray``
+    (docs/engine.md).
+    """
 
     def __init__(
         self,
@@ -75,6 +75,7 @@ class TwoPartSTTL2(L2Interface):
         name: str = "twopart",
         tracer: Optional[TraceCollector] = None,
         faults: Optional["FaultInjector"] = None,
+        array_factory=SetAssociativeCache,
     ) -> None:
         if not 0 < lr_retention_s < hr_retention_s:
             raise ConfigurationError("need 0 < LR retention < HR retention")
@@ -101,13 +102,13 @@ class TwoPartSTTL2(L2Interface):
             sequential=sequential_search, tracer=self.tracer
         )
 
-        self.hr_array = self.ARRAY_FACTORY(
+        self.hr_array = array_factory(
             hr_capacity_bytes, hr_associativity, line_size,
             name=f"{name}-hr",
             write_counter_saturation=self.monitor.saturation,
             tracer=self.tracer,
         )
-        self.lr_array = self.ARRAY_FACTORY(
+        self.lr_array = array_factory(
             lr_capacity_bytes, lr_associativity, line_size, name=f"{name}-lr",
             tracer=self.tracer,
         )
@@ -622,12 +623,7 @@ class TwoPartSTTL2(L2Interface):
 
     def dirty_lines(self) -> int:
         """Dirty residents across both parts (eventual write-back debt)."""
-        count = 0
-        for array in (self.lr_array, self.hr_array):
-            for _, _, block in array.iter_blocks():
-                if block.valid and block.dirty:
-                    count += 1
-        return count
+        return self.lr_array.dirty_count() + self.hr_array.dirty_count()
 
     @property
     def stats(self) -> CacheStats:

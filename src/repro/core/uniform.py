@@ -29,11 +29,10 @@ class UniformL2(L2Interface):
         Geometry (Table 2: 384 KB 8-way for SRAM, 1536 KB 8-way for STT).
     technology:
         ``"sram"`` or ``"stt"`` (10-year retention, no refresh needed).
+    array_factory:
+        Cache-array class holding the lines: the object array, or the
+        ``soa`` engine's drop-in ``SoaCacheArray`` (docs/engine.md).
     """
-
-    #: Behavioural cache-array class; engine backends (``repro.engine``)
-    #: subclass this L2 and swap in a drop-in array (docs/engine.md).
-    ARRAY_FACTORY = SetAssociativeCache
 
     def __init__(
         self,
@@ -45,6 +44,7 @@ class UniformL2(L2Interface):
         name: Optional[str] = None,
         early_write_termination: bool = False,
         tracer: Optional[TraceCollector] = None,
+        array_factory=SetAssociativeCache,
     ) -> None:
         if technology not in ("sram", "stt"):
             raise ConfigurationError(f"unknown uniform L2 technology {technology!r}")
@@ -65,7 +65,7 @@ class UniformL2(L2Interface):
             tech=tech,
             ewt=ewt,
         )
-        self.array = self.ARRAY_FACTORY(
+        self.array = array_factory(
             capacity_bytes, associativity, line_size, name=self.name,
             tracer=tracer,
         )
@@ -134,10 +134,7 @@ class UniformL2(L2Interface):
         )
 
     def dirty_lines(self) -> int:
-        return sum(
-            1 for _, _, block in self.array.iter_blocks()
-            if block.valid and block.dirty
-        )
+        return self.array.dirty_count()
 
     @property
     def stats(self) -> CacheStats:

@@ -12,8 +12,9 @@ with ``--engine`` on the CLI, see docs/engine.md):
 ``soa``
     The batched structure-of-arrays model — flat vectors for tags,
     valid/dirty bits, write counters and retention timestamps — replayed
-    by a compiled C kernel (``kernel.c``), or by the object engine's
-    replay loop over the same SoA L2 when no kernel library can be built.
+    by a compiled C kernel (``kernel.c``), or, when no kernel library can
+    be built, by the object engine itself (its replay loop and the object
+    L2 classes) over the same ``SoaCacheArray`` arrays.
     Byte-identical results to ``object`` on every supported configuration
     on either path.  Unsupported features fall back (see
     :func:`resolve_engine`); :func:`replay_path` says which path runs.

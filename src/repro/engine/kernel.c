@@ -10,11 +10,13 @@
  *
  * It is a transcription of the object engine's replay loop
  * (GPUSimulator.run in gpu/simulator.py, with the L1, MSHR, read-only
- * cache, bank and DRAM models it calls) and of the SoA L2 classes in
- * soa_l2.py / soa_array.py.  Every state transition and every
- * floating-point operation happens in the same order as there, so with
- * IEEE doubles evaluated at their own precision and no FP contraction
- * (-ffp-contract=off, no -ffast-math) the results are bit-identical.
+ * cache, bank and DRAM models it calls) and of the L2 protocol in
+ * core/twopart.py, core/refresh.py and core/uniform.py over the
+ * SoaCacheArray operations in soa_array.py.  Every state transition
+ * and every floating-point operation happens in the same order as there,
+ * so with IEEE doubles evaluated at their own precision and no FP
+ * contraction (-ffp-contract=off, no -ffast-math) the results are
+ * bit-identical.
  *
  * All state the caller needs afterwards lives in caller-owned buffers
  * referenced from the structs below (mirrored field for field by ctypes
@@ -81,7 +83,7 @@ typedef struct {
     int64_t pushes, drains, overflows, peak;
 } Buffer;
 
-/* SoaRefreshEngine schedule, counters and the last sweep's decisions. */
+/* RefreshEngine schedule, counters and the last sweep's decisions. */
 typedef struct {
     int64_t has_lr;
     double lr_retention, lr_refresh_age, lr_tick, hr_refresh_age, hr_tick;
@@ -348,7 +350,7 @@ static double next_on_grid(double now, double tick)
     return scheduled;
 }
 
-/* TwoPartSTTL2.maintenance with the SoaRefreshEngine sweeps */
+/* TwoPartSTTL2.maintenance with the RefreshEngine._sweep_lr/_sweep_hr sweeps */
 static int64_t twopart_maintenance(TwoPart *t, double now)
 {
     Refresh *r = &t->ref;
@@ -446,7 +448,7 @@ static int64_t return_to_hr(TwoPart *t, int64_t line, int dirty, double now)
     return writebacks;
 }
 
-/* SoaTwoPartL2._migrate_and_write: HR write hit at the WWS threshold */
+/* TwoPartSTTL2._migrate_and_write: HR write hit at the WWS threshold */
 static double migrate(TwoPart *t, int64_t line, int64_t index, int64_t slot,
                       double now, double energy, double tag_latency,
                       int64_t *writebacks)
@@ -471,7 +473,7 @@ static double migrate(TwoPart *t, int64_t line, int64_t index, int64_t slot,
     return tag_latency + t->lr_w_lat;
 }
 
-/* SoaTwoPartL2.access: returns 1 when the line must be fetched from DRAM */
+/* TwoPartSTTL2.access: returns 1 when the line must be fetched from DRAM */
 static int twopart_access(TwoPart *t, int64_t address, int is_write,
                           double now, double *latency, int64_t *writebacks)
 {
@@ -616,7 +618,7 @@ static int twopart_access(TwoPart *t, int64_t address, int is_write,
 /* uniform L2                                                          */
 /* ------------------------------------------------------------------ */
 
-/* SoaUniformL2.access */
+/* UniformL2.access */
 static int uniform_access(Uniform *u, int64_t address, int is_write,
                           double now, double *latency, int64_t *writebacks)
 {

@@ -6,7 +6,7 @@ compiler and cached as a shared library under
 :mod:`ctypes`.  :func:`load` never raises: when there is no compiler, the
 compile fails, the cache directory is unwritable or the library cannot be
 loaded, it returns no library and a one-line reason, and the ``soa``
-engine runs its Python path (the object replay loop over the SoA L2)
+engine runs its Python path (the object replay loop and L2 over SoA arrays)
 instead (docs/engine.md).
 
 The ctypes structures below mirror the C structs field for field; the

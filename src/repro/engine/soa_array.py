@@ -15,10 +15,11 @@ tests) still expect ``CacheBlock``-shaped objects and ``CacheSet``-shaped
 sets; the :class:`SoaBlockView` and :class:`SoaSetView` proxies provide
 write-through views over the flat vectors so inherited object-model code
 runs unmodified on SoA state.  The ``block_views`` and ``sets`` lists are
-built on first use: a simulation reads neither (the compiled kernel, the
-demand paths, the ``SoaRefreshEngine`` sweeps and :meth:`dirty_count` all
-work on the vectors), and one view per line used to be most of the cost
-of building a simulator.
+built on first use: a kernel-path simulation reads neither (the compiled
+kernel and :meth:`dirty_count` work on the vectors), and one view per
+line used to be most of the cost of building a simulator.  The Python
+path runs the object L2 protocol over these arrays, so it reads L2 lines
+through the views.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 :class:`SoaGPUSimulator` subclasses :class:`repro.gpu.simulator.GPUSimulator`
 and overrides only :meth:`~SoaGPUSimulator.run`.  The replay has two
-interchangeable paths over the same SoA L2 (built by
-:func:`repro.core.factory.build_l2` with ``engine="soa"``):
+interchangeable paths over the same L2: the object L2 classes with
+:class:`~repro.engine.soa_array.SoaCacheArray` parts, built by
+:func:`repro.core.factory.build_l2` with ``engine="soa"``.
 
 * **The compiled kernel** (``kernel.c``, loaded by
   :mod:`repro.engine.kernel`).  ``run`` copies the L2, buffer, refresh,
@@ -12,8 +13,11 @@ interchangeable paths over the same SoA L2 (built by
   component objects.
 * **The Python path**, used when no kernel library is available (the
   reason is in :attr:`SoaGPUSimulator.replay_path`): the object engine's
-  replay loop, :meth:`GPUSimulator.run`, driving the SoA L2's ``access``
-  (the code the lockstep oracle checks).
+  replay loop, :meth:`GPUSimulator.run`, driving
+  :meth:`TwoPartSTTL2.access <repro.core.twopart.TwoPartSTTL2.access>` or
+  :meth:`UniformL2.access <repro.core.uniform.UniformL2.access>` over
+  those arrays — the object protocol, the code the lockstep oracle
+  checks.
 
 Equivalence contract (docs/engine.md): every counter update, float
 accumulation and state transition in the kernel happens in the object
@@ -49,9 +53,9 @@ import numpy as np
 from repro.config import GPUConfig
 from repro.core.factory import build_l2
 from repro.core.refresh import RefreshActions
+from repro.core.twopart import TwoPartSTTL2
 from repro.engine import kernel as compiled
 from repro.engine.soa_array import SoaCacheArray
-from repro.engine.soa_l2 import SoaTwoPartL2
 from repro.errors import ConfigurationError, SimulationError
 from repro.gpu.metrics import SimulationResult
 from repro.gpu.occupancy import compute_occupancy
@@ -213,7 +217,7 @@ class SoaGPUSimulator(GPUSimulator):
         time_dilation: float = TIME_DILATION,
         start_time_s: float = 0.0,
     ) -> None:
-        """Build the SoA L2 and the standard component set around it.
+        """Build the SoA-backed L2 and the standard component set around it.
 
         Narrower signature than :class:`GPUSimulator` on purpose: the
         features the extra parameters enable (tracers, checkers, pre-built
@@ -273,7 +277,7 @@ class SoaGPUSimulator(GPUSimulator):
                 "the soa engine needs line-interleaved DRAM channels and no "
                 "DRAM tracer"
             )
-        if not isinstance(self.l2, SoaTwoPartL2) and \
+        if not isinstance(self.l2, TwoPartSTTL2) and \
                 self.l2.array.write_counter_saturation != 0:
             raise ConfigurationError(
                 "the soa engine needs a non-saturating uniform L2 write counter"
@@ -288,6 +292,8 @@ class SoaGPUSimulator(GPUSimulator):
         eng = l2.refresh_engine
         lr_spec, hr_spec = eng.lr_spec, eng.hr_spec
         probe = l2._probe_energy_table
+        lr_model, hr_model = l2.lr_model, l2.hr_model
+        selector, monitor = l2.selector.stats, l2.monitor.stats
         lr_lines = l2.lr_array.num_lines
         hr_lines = l2.hr_array.num_lines
         ref = compiled.Refresh(
@@ -312,16 +318,21 @@ class SoaGPUSimulator(GPUSimulator):
             h2l=_buffer_in(buffers, "h2l", l2.hr_to_lr),
             l2h=_buffer_in(buffers, "l2h", l2.lr_to_hr),
             ref=ref,
-            sequential=l2._sequential, threshold=l2._threshold,
+            sequential=l2.selector.sequential,
+            threshold=l2.monitor.threshold,
             track_intervals=track,
-            hr_ret=l2._hr_ret,
-            lr_w_en=l2._lr_w_en, lr_r_en=l2._lr_r_en,
-            lr_w_lat=l2._lr_w_lat, lr_r_lat=l2._lr_r_lat,
-            hr_w_en=l2._hr_w_en, hr_r_en=l2._hr_r_en,
-            hr_w_lat=l2._hr_w_lat, hr_r_lat=l2._hr_r_lat,
-            hr_fill_en=l2.hr_model.fill_energy,
-            lr_refresh_en=(l2.lr_model.data_read_energy
-                           + l2.lr_model.data_write_energy),
+            hr_ret=hr_spec.retention_s,
+            lr_w_en=lr_model.data_write_energy,
+            lr_r_en=lr_model.data_read_energy,
+            lr_w_lat=lr_model.data_array.write_latency,
+            lr_r_lat=lr_model.data_array.read_latency,
+            hr_w_en=hr_model.data_write_energy,
+            hr_r_en=hr_model.data_read_energy,
+            hr_w_lat=hr_model.data_array.write_latency,
+            hr_r_lat=hr_model.data_array.read_latency,
+            hr_fill_en=hr_model.fill_energy,
+            lr_refresh_en=(lr_model.data_read_energy
+                           + lr_model.data_write_energy),
             tag_lat1=l2._hr_tag_access_latency,
             tag_lat2=2 * l2._hr_tag_access_latency,
             pe_r1=probe[False][1], pe_r2=probe[False][2],
@@ -334,11 +345,11 @@ class SoaGPUSimulator(GPUSimulator):
             migrations_to_lr=l2.migrations_to_lr,
             returns_to_hr=l2.returns_to_hr,
             dram_writebacks_total=l2.dram_writebacks_total,
-            sel_accesses=l2._sel_stats.accesses,
-            sel_first=l2._sel_stats.first_probe_hits,
-            sel_second=l2._sel_stats.second_probes,
-            mon_writes=l2._mon_stats.writes_observed,
-            mon_migrations=l2._mon_stats.migrations_triggered,
+            sel_accesses=selector.accesses,
+            sel_first=selector.first_probe_hits,
+            sel_second=selector.second_probes,
+            mon_writes=monitor.writes_observed,
+            mon_migrations=monitor.migrations_triggered,
             intervals=buffers.zeros("intervals", n if track else 0, np.float64),
             intervals_cap=n if track else 0,
         )
@@ -369,11 +380,12 @@ class SoaGPUSimulator(GPUSimulator):
                      "refresh_writes", "migrations_to_lr", "returns_to_hr",
                      "dram_writebacks_total"):
             setattr(l2, attr, getattr(t, attr))
-        l2._sel_stats.accesses = t.sel_accesses
-        l2._sel_stats.first_probe_hits = t.sel_first
-        l2._sel_stats.second_probes = t.sel_second
-        l2._mon_stats.writes_observed = t.mon_writes
-        l2._mon_stats.migrations_triggered = t.mon_migrations
+        selector, monitor = l2.selector.stats, l2.monitor.stats
+        selector.accesses = t.sel_accesses
+        selector.first_probe_hits = t.sel_first
+        selector.second_probes = t.sel_second
+        monitor.writes_observed = t.mon_writes
+        monitor.migrations_triggered = t.mon_migrations
         l2.rewrite_intervals.extend(
             buffers["intervals"][:t.n_intervals].tolist())
 
@@ -448,7 +460,7 @@ class SoaGPUSimulator(GPUSimulator):
             pend_ready=buffers.zeros("pend_ready", S * entries, np.float64),
             min_ready=buffers.zeros("min_ready", S, np.float64),
         )
-        twopart = isinstance(self.l2, SoaTwoPartL2)
+        twopart = isinstance(self.l2, TwoPartSTTL2)
         if twopart:
             l2_struct = self._twopart_in(buffers, n)
             sim.twopart = ctypes.pointer(l2_struct)

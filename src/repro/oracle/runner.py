@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.config import GPUConfig, L2Config
+from repro.core.factory import build_l2
 from repro.core.twopart import TwoPartSTTL2
 from repro.errors import OracleError
 from repro.oracle.reference import ReferenceTwoPartL2
@@ -315,10 +316,11 @@ def make_pair(
 
     ``mutant`` selects a deliberately broken DUT variant from
     :data:`repro.oracle.mutants.MUTANTS` (oracle self-tests); ``None``
-    builds the production DUT.  ``engine`` picks which production model is
-    the DUT: the ``object`` :class:`TwoPartSTTL2` or the ``soa``
-    structure-of-arrays subclass (see docs/engine.md).  Mutants are
-    object-engine subclasses, so ``mutant`` requires ``engine="object"``.
+    builds the production DUT, :class:`TwoPartSTTL2` as
+    :func:`~repro.core.factory.build_l2` builds it for ``engine``: over
+    object arrays, or over ``SoaCacheArray`` parts for ``"soa"`` (see
+    docs/engine.md).  Mutants are object-engine subclasses, so ``mutant``
+    requires ``engine="object"``.
     """
     if engine not in ("object", "soa"):
         raise OracleError(
@@ -326,12 +328,11 @@ def make_pair(
         )
     kwargs = l2_kwargs_from_config(config.l2)
     if mutant is None:
-        if engine == "soa":
-            from repro.engine.soa_l2 import SoaTwoPartL2
-
-            dut: TwoPartSTTL2 = SoaTwoPartL2(tracer=tracer, **kwargs)
-        else:
-            dut = TwoPartSTTL2(tracer=tracer, **kwargs)
+        # the production L2 as the factory builds it; rewrite intervals
+        # are tracked because the counter diff compares their count
+        dut = build_l2(
+            config.l2, track_intervals=True, tracer=tracer, engine=engine
+        )
     elif engine != "object":
         raise OracleError(
             f"mutant {mutant!r} is an object-engine variant; "

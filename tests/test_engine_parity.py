@@ -2,9 +2,10 @@
 
 The SoA engine (``repro.engine``, see docs/engine.md) re-implements the
 replay over flat vectors, on two paths: a compiled C kernel, and a
-Python fallback that drives the SoA L2 from the object replay loop.  Its entire claim to correctness is that no
-observable output changes on either path.  These tests enforce that claim
-four ways:
+Python fallback that runs the object replay loop and L2 protocol over
+``SoaCacheArray`` arrays.  Its entire claim to correctness is that no
+observable output changes on either path.  These tests enforce that
+claim in these ways:
 
 * **Pinned bench scenarios** — every scenario in the committed replay
   benchmark (``repro.benchmarks.PINNED_SCENARIOS`` + ``QUICK_SCENARIOS``)
@@ -17,7 +18,7 @@ four ways:
   ``oracle-small`` two-part config (capacity pressure ⇒ migrations,
   buffer traffic and refresh sweeps within tens of accesses) are replayed
   the same way on both paths, and through the oracle's lockstep runner
-  with the SoA L2 as the DUT.
+  with the factory-built ``soa`` L2 as the DUT.
 * **Random configurations** — a seeded sweep of 48 two-part and uniform
   geometries and policies compares the kernel against ``object``.
 * **Refresh-sweep decisions** — both engines' refresh engines must emit
@@ -28,6 +29,10 @@ four ways:
 * **Lazy cold-path views** — a kernel-path run builds no per-line block
   view; the views built afterwards read the written-back state and equal
   the object engine's blocks.
+* **One Python protocol** — ``UniformL2`` over either array backing
+  agrees call by call, ``build_l2(engine="soa")`` returns the object L2
+  classes themselves, and no ``repro.engine`` module keeps its own copy
+  of the L2 protocol.
 
 The Python path is forced by replacing the kernel loader, the way a host
 without a C compiler sees it.  Engine selection itself (fallbacks,
@@ -36,12 +41,16 @@ gate lives in ``scripts/bench_replay.py``, not here — tier-1 only proves
 equivalence.
 """
 
+import importlib
+import inspect
 import math
+import pkgutil
 import random
 
 import numpy as np
 import pytest
 
+import repro.engine
 from repro.benchmarks import (
     PINNED_SCENARIOS,
     QUICK_SCENARIOS,
@@ -51,10 +60,14 @@ from repro.benchmarks import (
 from repro.cache.array import SetAssociativeCache
 from repro.config import GPUConfig, L2Config, L2PartConfig
 from repro.core import refresh
+from repro.core.factory import build_l2
+from repro.core.interface import L2Interface
+from repro.core.refresh import RefreshEngine
+from repro.core.twopart import TwoPartSTTL2
+from repro.core.uniform import UniformL2
 from repro.engine import ENGINES, make_simulator, resolve_engine
 from repro.engine import kernel as compiled
 from repro.engine.soa_array import SoaBlockView, SoaCacheArray
-from repro.engine.soa_l2 import SoaTwoPartL2
 from repro.engine.soa_sim import SoaGPUSimulator
 from repro.errors import ConfigurationError
 from repro.gpu.simulator import TIME_DILATION, GPUSimulator
@@ -66,6 +79,7 @@ from repro.oracle import (
     pressure_config,
     run_diff,
 )
+from repro.tracing import TraceCollector
 from repro.workloads import build_workload
 from repro.workloads.trace import FLAG_WRITE, Trace, Workload
 
@@ -374,7 +388,8 @@ def test_kernel_run_builds_no_block_views(config_name, monkeypatch):
 
 @pytest.mark.parametrize("profile", ["bfs", "stencil"])
 def test_soa_l2_survives_the_lockstep_oracle(profile):
-    """The SoA two-part L2 as DUT against the naive reference: zero
+    """The factory-built ``soa`` two-part L2 (``TwoPartSTTL2`` over
+    ``SoaCacheArray`` parts) as DUT against the naive reference: zero
     divergence on per-access outcomes, counters and refresh decisions."""
     report = run_diff(
         profile, pressure_config(), seed=3, accesses=1500, engine="soa"
@@ -384,12 +399,11 @@ def test_soa_l2_survives_the_lockstep_oracle(profile):
 
 
 def test_refresh_sweep_decisions_match():
-    """Both refresh engines act on the same lines in the same order."""
+    """Refresh sweeps over either array backing act on the same lines in
+    the same order."""
     kwargs = l2_kwargs_from_config(pressure_config().l2)
-    from repro.core.twopart import TwoPartSTTL2
-
     obj = TwoPartSTTL2(**kwargs)
-    soa = SoaTwoPartL2(**kwargs)
+    soa = TwoPartSTTL2(**kwargs, array_factory=SoaCacheArray)
     rng = random.Random(11)
     now = 0.0
     sweeps = 0
@@ -413,10 +427,83 @@ def test_refresh_sweep_decisions_match():
     assert dut_counters(obj) == dut_counters(soa)
 
 
+@pytest.mark.parametrize("technology", ["sram", "stt"])
+def test_uniform_l2_backings_agree_call_by_call(technology):
+    """``UniformL2`` over ``SetAssociativeCache`` and over
+    ``SoaCacheArray``: every access and fill result, the stats, the energy
+    ledger and the dirty-line count agree after every call (the lockstep
+    oracle covers only the two-part L2)."""
+    geometry = (16 * 1024, 4, 256)  # 16 sets: evictions within tens of calls
+    obj = UniformL2(*geometry, technology=technology)
+    soa = UniformL2(*geometry, technology=technology,
+                    array_factory=SoaCacheArray)
+    rng = random.Random(5)
+    now = 0.0
+    for _ in range(3000):
+        now += 1e-6
+        address = rng.randrange(0, 1 << 17)
+        if rng.random() < 0.1:
+            dirty = rng.random() < 0.5
+            obj_res = obj.fill_from_dram(address, now, dirty=dirty)
+            soa_res = soa.fill_from_dram(address, now, dirty=dirty)
+        else:
+            is_write = rng.random() < 0.5
+            obj_res = obj.access(address, is_write, now)
+            soa_res = soa.access(address, is_write, now)
+        assert soa_res == obj_res
+        assert soa.stats == obj.stats
+        assert soa.energy.as_dict() == obj.energy.as_dict()
+        assert soa.data_writes == obj.data_writes
+        assert soa.dirty_lines() == obj.dirty_lines()
+    assert obj.stats.write_hits and obj.stats.evictions_dirty
+    assert soa.array.per_frame_write_counts() == \
+        obj.array.per_frame_write_counts()
+    assert _blocks(soa.array) == _blocks(obj.array)
+
+
+@pytest.mark.parametrize("config_name", ["C1", "baseline", "stt-baseline"])
+def test_soa_l2_is_the_object_protocol_over_soa_arrays(config_name):
+    """``build_l2(engine="soa")`` returns the object L2 classes themselves
+    (not subclasses) with ``SoaCacheArray`` parts, and rejects an enabled
+    tracer."""
+    l2_config = all_configs()[config_name].l2
+    l2 = build_l2(l2_config, engine="soa")
+    if l2_config.kind == "twopart":
+        assert type(l2) is TwoPartSTTL2
+        parts = (l2.lr_array, l2.hr_array)
+    else:
+        assert type(l2) is UniformL2
+        parts = (l2.array,)
+    assert all(type(part) is SoaCacheArray for part in parts)
+    with pytest.raises(ConfigurationError):
+        build_l2(l2_config, tracer=TraceCollector(), engine="soa")
+
+
+def test_no_engine_module_carries_a_copy_of_the_l2_protocol():
+    """No class under ``repro.engine`` is an L2 (so none has an L2
+    ``access``) or a refresh engine, and none defines the protocol's
+    maintenance, migration, sweep, DRAM-fill or dirty-line methods: the
+    Python path runs the object protocol itself."""
+    protocol = {"maintenance", "_migrate_and_write", "_sweep_lr",
+                "_sweep_hr", "fill_from_dram", "dirty_lines"}
+    offenders = []
+    for info in pkgutil.iter_modules(repro.engine.__path__):
+        module = importlib.import_module(f"repro.engine.{info.name}")
+        for name, obj in vars(module).items():
+            if not inspect.isclass(obj) or obj.__module__ != module.__name__:
+                continue
+            if issubclass(obj, (L2Interface, RefreshEngine)) or \
+                    protocol & set(vars(obj)):
+                offenders.append(f"{module.__name__}.{name}")
+    assert offenders == []
+
+
 def test_lockstep_pair_accepts_engine_and_rejects_soa_mutants():
     config = pressure_config()
     dut, _ref = make_pair(config, engine="soa")
-    assert isinstance(dut, SoaTwoPartL2)
+    assert type(dut) is TwoPartSTTL2
+    assert isinstance(dut.lr_array, SoaCacheArray)
+    assert isinstance(dut.hr_array, SoaCacheArray)
     from repro.errors import OracleError
 
     with pytest.raises(OracleError):
